@@ -2,16 +2,16 @@
 # (build + vet + tests); `make lint` adds the NQL registry vet (nqlvet
 # over every golden program x backend) and staticcheck when installed;
 # `make bench` records the benchmark suite as JSON so successive PRs can
-# track the perf trajectory (BENCH_10.json for this PR, bump BENCH_OUT for
-# the next); `make benchdiff` compares the two most recent snapshots and
+# track the perf trajectory (BENCH_12.json for this change, bump BENCH_OUT
+# for the next); `make benchdiff` compares the two most recent snapshots and
 # fails on >10% regressions of ns/op, B/op or allocs/op (tail latency is
 # gated at a wider p99 threshold — see cmd/benchdiff) on the ROADMAP
 # watchlist (Table2 / Table4 / Clone / PageRank /
 # SandboxGoldenQuery / NQLVM / StreamSweep / GatewayThroughput /
-# ServiceQuery / FederatedJoin / FederatedGoldenQuery).
+# ServiceQuery / FederatedJoin / FederatedGoldenQuery / InstanceAcquire).
 
 GO        ?= go
-BENCH_OUT ?= BENCH_10.json
+BENCH_OUT ?= BENCH_12.json
 
 # One pinned staticcheck for local lint and CI: an unpinned @latest can
 # start flagging new checks the day a release lands and break CI with no
@@ -45,14 +45,16 @@ lint:
 install-staticcheck:
 	$(GO) install honnef.co/go/tools/cmd/staticcheck@$(STATICCHECK_VERSION)
 
-# Race-exercise the concurrent evaluation pipeline and its substrates
-# (includes the stream/shard sweep's parallel aggregation and PageRank,
-# the model-serving gateway's batching/rate-limit/retry scheduler, and the
-# netqueryd service's chaos suite — swap under load, client disconnects,
-# backend stalls, tenant isolation, and the burn-rate alert full loop
-# against the SLO engine in internal/obs/health).
+# Race-exercise the concurrent evaluation pipeline and its substrates. CI
+# runs this target. It includes the frozen graph/dataframe/sqldb masters
+# every concurrent request clones copy-on-write, the stream/shard sweep's
+# parallel aggregation and PageRank, the model-serving gateway's
+# batching/rate-limit/retry scheduler, and the netqueryd service's chaos
+# suite — swap under load, client disconnects, backend stalls, tenant
+# isolation, and the burn-rate alert full loop against the SLO engine in
+# internal/obs/health.
 race:
-	$(GO) test -race ./internal/nemoeval ./internal/graph ./internal/nql ./internal/nql/analysis ./internal/sandbox ./internal/nqlbind ./internal/traffic ./internal/modelserve ./internal/federate ./internal/limiter ./internal/service ./internal/obs ./internal/obs/health
+	$(GO) test -race ./internal/nemoeval ./internal/graph ./internal/nql ./internal/nql/analysis ./internal/sandbox ./internal/nqlbind ./internal/dataframe ./internal/sqldb ./internal/traffic ./internal/modelserve ./internal/federate ./internal/limiter ./internal/service ./internal/obs ./internal/obs/health
 
 # Record the benchmark suite as test2json records for tooling: the macro
 # benchmarks (whole tables/figures/ablations) run one iteration, while the
@@ -73,7 +75,7 @@ race:
 # of *identical* code diff at +10-20%.
 bench:
 	$(GO) test -run '^$$' -bench 'Table|Figure|Ablation|EndToEnd|StreamSweep' -benchmem -benchtime=1x -count=5 -json . | tee $(BENCH_OUT)
-	$(GO) test -run '^$$' -bench 'Graph|Dataframe|SQL|NQL|Sandbox|Federated|Token|ObsOverhead|GatewayThroughput' -benchmem -benchtime=0.5s -count=9 -json . | tee -a $(BENCH_OUT)
+	$(GO) test -run '^$$' -bench 'Graph|Dataframe|SQL|NQL|Sandbox|Federated|Token|ObsOverhead|GatewayThroughput|InstanceAcquire' -benchmem -benchtime=0.5s -count=9 -json . | tee -a $(BENCH_OUT)
 	$(GO) test -run '^$$' -bench 'ServiceQuery' -benchmem -benchtime=0.5s -count=5 -json ./internal/service | tee -a $(BENCH_OUT)
 
 # Stable-ish numbers for the substrate micro-benchmarks only.

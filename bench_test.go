@@ -3,7 +3,7 @@ package repro
 // Benchmark harness: one benchmark per table and figure in the paper's
 // evaluation section (regenerating the artifact and reporting its headline
 // numbers as metrics), micro-benchmarks for the substrates, and ablations
-// for the design choices DESIGN.md calls out.
+// for the main design choices.
 //
 //	go test -bench=. -benchmem
 //	go test -bench=BenchmarkTable2 -benchtime=1x
@@ -279,6 +279,39 @@ func BenchmarkGraphCloneDeep(b *testing.B) {
 		g.Clone()
 	}
 }
+
+// BenchmarkInstanceAcquire measures what a netqueryd request pays to get its
+// own instance of the serve-large dataset (1000 nodes, 8000 edges): build()
+// plus Bindings for one backend, with the epoch's masters already derived.
+// graphclone clones the same frozen master alone, the floor networkx and
+// federated acquisitions cannot go below until graph.Clone itself is O(1).
+func BenchmarkInstanceAcquire(b *testing.B) {
+	cfg := traffic.Config{Nodes: 1000, Edges: 8000, Seed: 42}
+	build := nemoeval.TrafficDataset(cfg)
+	for _, backend := range []string{prompt.BackendSQL, prompt.BackendPandas, prompt.BackendNetworkX, prompt.BackendFederated} {
+		build().Bindings(backend) // derive the epoch's masters outside the timed loop
+		b.Run(backend, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				acquireSink = build().Bindings(backend)
+			}
+		})
+	}
+	master := traffic.Generate(cfg)
+	master.Freeze()
+	b.Run("graphclone", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			acquireSink = master.Clone()
+		}
+	})
+	// Drop the dataset: a large live heap makes every later benchmark in
+	// the process pay more GC mark work.
+	acquireSink = nil
+}
+
+// acquireSink keeps BenchmarkInstanceAcquire's results live.
+var acquireSink any
 
 func BenchmarkDataframeGroupBy(b *testing.B) {
 	f := dataframe.New("k", "v")

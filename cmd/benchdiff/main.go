@@ -3,7 +3,8 @@
 // watched benchmarks, per the ROADMAP's perf-trajectory gate: >10% worse
 // on any gated metric of Table2 / Table4 / GraphClone / GraphPageRank /
 // SandboxGoldenQuery / NQLVM / StreamSweep / GatewayThroughput /
-// ServiceQuery / FederatedJoin / FederatedGoldenQuery fails the diff.
+// ServiceQuery / FederatedJoin / FederatedGoldenQuery / InstanceAcquire
+// fails the diff.
 // Time (ns/op) and the allocation bill (B/op, allocs/op) are gated at
 // -threshold; tail latency (the p99-ns custom metric, when a benchmark
 // reports one — open-loop load benchmarks pin ns/op to the arrival
@@ -76,7 +77,7 @@ var (
 )
 
 // defaultWatch is the ROADMAP's regression watchlist.
-const defaultWatch = "Table2,Table4,GraphClone,GraphPageRank,SandboxGoldenQuery,NQLVM,StreamSweep,GatewayThroughput,ServiceQuery,ObsOverhead/disabled,FederatedJoin,FederatedGoldenQuery"
+const defaultWatch = "Table2,Table4,GraphClone,GraphPageRank,SandboxGoldenQuery,NQLVM,StreamSweep,GatewayThroughput,ServiceQuery,ObsOverhead/disabled,FederatedJoin,FederatedGoldenQuery,InstanceAcquire"
 
 func main() {
 	oldPath := flag.String("old", "", "baseline BENCH_<n>.json (default: second-newest in .)")

@@ -4,8 +4,9 @@
 // it evaluates, and every substrate those depend on (attributed graph
 // library, columnar dataframe, SQL engine, the NQL scripting language and
 // sandbox, synthetic traffic and MALT workloads, simulated LLMs, and the
-// cost model). See README.md for a tour and DESIGN.md for the system
-// inventory.
+// cost model). See ROADMAP.md for the project's aims and open work, and
+// perfbench/README.md for the end-to-end benchmark and its per-layer
+// metrics.
 //
 // # Four backends
 //
@@ -137,8 +138,11 @@
 //
 // cmd/netqueryd serves the framework's datasets as a fault-tolerant
 // multi-tenant HTTP query service (internal/service). Each request runs a
-// sandboxed NQL program against a fresh clone of the current dataset
-// epoch's frozen master under a propagated context deadline — the NQL VM
+// sandboxed NQL program against its own copy-on-write instance of the
+// current dataset epoch: the epoch freezes its graph once and derives its
+// frames and SQL tables from it once, on first use, and a request clones
+// only the representations its backend binds. It runs under a propagated
+// context deadline — the NQL VM
 // polls its context once per 4096-step dispatch quantum, and the
 // federated executor and SQL engine add their own row-loop checkpoints,
 // so a deadline-exceeded or disconnected request aborts promptly at every

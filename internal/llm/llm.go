@@ -2,7 +2,7 @@
 // in Figure 2) and provides simulated implementations of the four models
 // the paper evaluates (GPT-4, GPT-3, text-davinci-003, Bard).
 //
-// The simulation substitutes for live API access (see DESIGN.md §2): each
+// The simulation substitutes for live API access: each
 // model emits real NQL programs — the golden program when the calibrated
 // outcome is a pass, or a program derived from the golden by a
 // class-specific fault mutator when it is a fail. Everything downstream

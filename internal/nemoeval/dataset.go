@@ -5,6 +5,8 @@
 package nemoeval
 
 import (
+	"sync"
+
 	"repro/internal/dataframe"
 	"repro/internal/diagnosis"
 	"repro/internal/federate"
@@ -23,12 +25,11 @@ import (
 // generated code cannot contaminate the comparison. Probes fields are set
 // only for the diagnosis extension application.
 //
-// The relational representations may be populated lazily: dataset builders
-// install lazyFrames/lazyDB thunks and the Frames/Database accessors force
-// them on first use, so a NetworkX-backend evaluation never pays for
-// building dataframes and SQL tables it will not touch. Constructing an
-// Instance with all fields set eagerly (as package core does) keeps
-// working — the thunks are only consulted while a field is nil.
+// A dataset builder's instance is O(1) to create: Graph, Nodes/Edges and
+// DB stay nil until the G, Frames and Database accessors clone them
+// copy-on-write from the epoch's frozen masters, so a SQL run never clones
+// the graph. Read the state through the accessors. An Instance with every
+// field set eagerly (as package core builds) works too.
 type Instance struct {
 	App     string
 	Wrapper prompt.AppWrapper
@@ -48,38 +49,32 @@ type Instance struct {
 	// planner recomputes from scratch.
 	FedEpoch uint64
 
-	lazyGraph  func() *graph.Graph
-	lazyFrames func() (nodes, edges *dataframe.Frame)
-	lazyDB     func() *sqldb.DB
+	masters *masters // nil fields are cloned from here on first use
 }
 
-// G returns the graph, building (cloning) it on first use when the
-// instance was created with a lazy graph — a pandas- or SQL-backend
-// evaluation then never pays for cloning a large topology it cannot touch.
-// Like Frames/Database, the accessor is safe on shared golden instances
-// because a golden instance is only consulted for the backend it executed
-// on, which already forced the field during the run.
+// G returns the graph, cloning the frozen master on first use. A shared
+// golden instance is only consulted for the backend it ran on, whose run
+// already forced the field, so the accessors are safe on it.
 func (inst *Instance) G() *graph.Graph {
-	if inst.Graph == nil && inst.lazyGraph != nil {
-		inst.Graph = inst.lazyGraph()
+	if inst.Graph == nil && inst.masters != nil {
+		inst.Graph = inst.masters.graph.Clone()
 	}
 	return inst.Graph
 }
 
-// Frames returns the node/edge dataframes, building them on first use when
-// the instance was created with lazy representations.
+// Frames returns the node/edge dataframes, cloning the masters on first use.
 func (inst *Instance) Frames() (nodes, edges *dataframe.Frame) {
-	if inst.Nodes == nil && inst.lazyFrames != nil {
-		inst.Nodes, inst.Edges = inst.lazyFrames()
+	if inst.Nodes == nil && inst.masters != nil {
+		n, e := inst.masters.frames()
+		inst.Nodes, inst.Edges = n.Clone(), e.Clone()
 	}
 	return inst.Nodes, inst.Edges
 }
 
-// Database returns the SQL database, building it on first use when the
-// instance was created with lazy representations.
+// Database returns the SQL database, cloning the master on first use.
 func (inst *Instance) Database() *sqldb.DB {
-	if inst.DB == nil && inst.lazyDB != nil {
-		inst.DB = inst.lazyDB()
+	if inst.DB == nil && inst.masters != nil {
+		inst.DB = inst.masters.database().Clone()
 	}
 	return inst.DB
 }
@@ -182,32 +177,67 @@ func StateEqual(backend string, a, b *Instance) bool {
 // InstanceBuilder produces fresh, identical instances on demand.
 type InstanceBuilder func() *Instance
 
-// TrafficDataset returns a builder for the traffic-analysis application at
-// the given scale. The default benchmark scale follows the paper's small
-// graph: 80 nodes and 80 edges ("80 nodes and edges").
-func TrafficDataset(cfg traffic.Config) InstanceBuilder {
-	// Generate once, freeze, then clone per instance: cloning a frozen
-	// master shares attribute maps copy-on-write, is safe from concurrent
-	// workers, and keeps every instance bit-identical. The relational
-	// representations are derived lazily from the clone so a NetworkX run
-	// never builds them.
-	master := traffic.Generate(cfg)
-	master.Freeze()
+// masters is one dataset epoch's frozen representations, shared by all its
+// instances. The frames are derived on first use, so building the dataset
+// does not pay for them, and the SQL master reuses the same frozen frames:
+// every clone copies its columns before its first write.
+type masters struct {
+	graph  *graph.Graph
+	tables [2]string // SQL names of the node and edge tables
+	derive func() (nodes, edges *dataframe.Frame)
+
+	framesOnce   sync.Once
+	nodes, edges *dataframe.Frame
+	dbOnce       sync.Once
+	db           *sqldb.DB
+}
+
+func (m *masters) frames() (nodes, edges *dataframe.Frame) {
+	m.framesOnce.Do(func() {
+		m.nodes, m.edges = m.derive()
+		m.nodes.Freeze()
+		m.edges.Freeze()
+	})
+	return m.nodes, m.edges
+}
+
+// database needs no Freeze: its tables are the frozen frames, and
+// re-freezing them would race with concurrent clones.
+func (m *masters) database() *sqldb.DB {
+	m.dbOnce.Do(func() {
+		nodes, edges := m.frames()
+		m.db = sqldb.NewDB()
+		m.db.CreateTable(m.tables[0], nodes)
+		m.db.CreateTable(m.tables[1], edges)
+	})
+	return m.db
+}
+
+// frozenDataset returns a builder over the frozen graph g; derive produces
+// the node and edge frames, which the DB names tables[0] and tables[1].
+func frozenDataset(app string, wrapper prompt.AppWrapper, g *graph.Graph, tables [2]string,
+	derive func() (nodes, edges *dataframe.Frame)) InstanceBuilder {
+	m := &masters{graph: g, tables: tables, derive: derive}
 	epoch := federate.NewEpoch()
 	return func() *Instance {
-		g := master.Clone()
-		return &Instance{
-			App:      queries.AppTraffic,
-			Wrapper:  traffic.NewWrapper(g),
-			Graph:    g,
-			FedEpoch: epoch,
-			lazyFrames: func() (*dataframe.Frame, *dataframe.Frame) {
-				nodes, edges := traffic.Frames(g)
-				return nodes, edges
-			},
-			lazyDB: func() *sqldb.DB { return traffic.Database(g) },
-		}
+		return &Instance{App: app, Wrapper: wrapper, FedEpoch: epoch, masters: m}
 	}
+}
+
+// TrafficDataset returns a builder for the traffic-analysis application at
+// the given scale. The default benchmark scale follows the paper's small
+// graph: 80 nodes and 80 edges ("80 nodes and edges"). The relational
+// forms are derived once from the frozen master, not per instance.
+func TrafficDataset(cfg traffic.Config) InstanceBuilder {
+	master := traffic.Generate(cfg)
+	master.Freeze()
+	return trafficDataset(master)
+}
+
+// trafficDataset builds over a frozen master, which the wrapper only reads.
+func trafficDataset(master *graph.Graph) InstanceBuilder {
+	return frozenDataset(queries.AppTraffic, traffic.NewWrapper(master), master,
+		[2]string{"nodes", "edges"}, func() (*dataframe.Frame, *dataframe.Frame) { return traffic.Frames(master) })
 }
 
 // DefaultTrafficConfig is the benchmark's standard traffic workload.
@@ -325,56 +355,21 @@ func BuildShardedTraffic(cfg traffic.Config, shards, batchSize int) (*ShardedTra
 	return d, nil
 }
 
-// ShardDataset returns an instance builder over one shard's frozen master:
-// workers clone only that shard instead of the full graph, with the
-// relational representations derived lazily exactly like TrafficDataset.
+// ShardDataset returns an instance builder over one shard's frozen master,
+// so workers clone only that shard. Call it after the last Apply and
+// Freeze: the builder derives the shard's frames once.
 func (d *ShardedTraffic) ShardDataset(shard int) InstanceBuilder {
-	master := d.Shards[shard].Master
-	epoch := federate.NewEpoch()
-	return func() *Instance {
-		g := master.Clone()
-		return &Instance{
-			App:      queries.AppTraffic,
-			Wrapper:  traffic.NewWrapper(g),
-			Graph:    g,
-			FedEpoch: epoch,
-			lazyFrames: func() (*dataframe.Frame, *dataframe.Frame) {
-				nodes, edges := traffic.Frames(g)
-				return nodes, edges
-			},
-			lazyDB: func() *sqldb.DB { return traffic.Database(g) },
-		}
-	}
+	return trafficDataset(d.Shards[shard].Master)
 }
 
 // MALTDataset returns a builder for the lifecycle-management application
 // using the example-scale synthetic MALT topology.
 func MALTDataset() InstanceBuilder {
-	master := malt.Generate(malt.Config{})
-	// Materialize each representation once from the (immutable) topology,
-	// then hand out clones: cloning a frozen graph or a frame is far
-	// cheaper than rebuilding them row by row, and the relational forms
-	// are only cloned if the backend actually binds them.
-	g0 := master.Graph()
-	g0.Freeze()
-	nodes0, edges0 := master.Frames()
-	nodes0.Freeze()
-	edges0.Freeze()
-	db0 := master.Database()
-	db0.Freeze()
-	epoch := federate.NewEpoch()
-	return func() *Instance {
-		return &Instance{
-			App:       queries.AppMALT,
-			Wrapper:   malt.NewWrapper(master),
-			FedEpoch:  epoch,
-			lazyGraph: func() *graph.Graph { return g0.Clone() },
-			lazyFrames: func() (*dataframe.Frame, *dataframe.Frame) {
-				return nodes0.Clone(), edges0.Clone()
-			},
-			lazyDB: func() *sqldb.DB { return db0.Clone() },
-		}
-	}
+	topo := malt.Generate(malt.Config{})
+	g := topo.Graph()
+	g.Freeze()
+	return frozenDataset(queries.AppMALT, malt.NewWrapper(topo), g,
+		[2]string{"entities", "relationships"}, topo.Frames)
 }
 
 // ProbesListValue converts a workload's probes into the list-of-maps value

@@ -178,7 +178,7 @@ func TestStateEqualPerBackend(t *testing.T) {
 			t.Errorf("fresh instances differ for %s", backend)
 		}
 	}
-	b.Graph.AddNode("zz", nil)
+	b.G().AddNode("zz", nil)
 	if StateEqual(prompt.BackendNetworkX, a, b) {
 		t.Error("graph change missed")
 	}

@@ -40,16 +40,9 @@ func (db *DB) Table(name string) (*dataframe.Frame, error) {
 // TableNames lists tables in creation order.
 func (db *DB) TableNames() []string { return append([]string(nil), db.order...) }
 
-// Freeze marks every table as an immutable master so Clone hands out
-// copy-on-write table clones (see dataframe.Frame.Freeze).
-func (db *DB) Freeze() {
-	for _, n := range db.order {
-		db.tables[n].Freeze()
-	}
-}
-
 // Clone copies the database (used so sandboxed runs cannot corrupt the
-// golden copy). Tables of a frozen database clone copy-on-write.
+// golden copy). Tables that are frozen frames clone copy-on-write (see
+// dataframe.Frame.Freeze).
 func (db *DB) Clone() *DB {
 	c := NewDB()
 	for _, n := range db.order {
