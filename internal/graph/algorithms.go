@@ -494,11 +494,75 @@ func (g *Graph) AverageShortestPathLength() float64 {
 
 // WeightedDegree sums the named numeric edge attribute over all edges
 // incident to id (both directions in a directed graph). Missing attributes
-// count as 0; non-numeric attributes are an error.
+// count as 0; non-numeric attributes are an error naming the first such
+// edge in insertion order.
+//
+// The sum equals adding the values in edge insertion order, bit for bit,
+// but costs O(degree): an undirected node's adjacency list already is in
+// insertion order. A directed node's out- and in-lists each are too, but
+// their interleaving is not kept; integers whose magnitudes total at most
+// 2^53 sum exactly in any order, and any other value falls back to the
+// insertion-ordered scan.
 func (g *Graph) WeightedDegree(id, attr string) (float64, error) {
-	if !g.HasNode(id) {
+	i, ok := g.nodeIdx[id]
+	if !ok {
 		return 0, fmt.Errorf("graph: node %q does not exist", id)
 	}
+	if !g.directed {
+		total := 0.0
+		for _, nb := range g.succ[i] {
+			k := g.key(id, g.nodeOrder[nb])
+			raw, ok := g.edges[k][attr]
+			if !ok {
+				continue
+			}
+			f, ok := ToFloat(raw)
+			if !ok {
+				return 0, nonNumericWeight(k, attr)
+			}
+			total += f
+			if int(nb) == i {
+				total += f // undirected self-loop counts twice
+			}
+		}
+		return total, nil
+	}
+	var sum int64
+	var mag uint64
+	for pass, adj := range [2][]int32{g.succ[i], g.pred[i]} {
+		for _, nb := range adj {
+			k := EdgeKey{U: id, V: g.nodeOrder[nb]}
+			if pass == 1 {
+				if int(nb) == i {
+					continue // the self-loop was counted among the out-edges
+				}
+				k = EdgeKey{U: g.nodeOrder[nb], V: id}
+			}
+			raw, ok := g.edges[k][attr]
+			if !ok {
+				continue
+			}
+			v, ok := Normalize(raw).(int64)
+			if !ok {
+				return g.weightedDegreeScan(id, attr)
+			}
+			if v < 0 {
+				mag += uint64(-v)
+			} else {
+				mag += uint64(v)
+			}
+			if mag > 1<<53 {
+				return g.weightedDegreeScan(id, attr)
+			}
+			sum += v
+		}
+	}
+	return float64(sum), nil
+}
+
+// weightedDegreeScan is WeightedDegree for a directed graph by an O(E)
+// scan of the edges in insertion order.
+func (g *Graph) weightedDegreeScan(id, attr string) (float64, error) {
 	total := 0.0
 	for _, k := range g.edgeOrder {
 		if k.U != id && k.V != id {
@@ -510,14 +574,15 @@ func (g *Graph) WeightedDegree(id, attr string) (float64, error) {
 		}
 		f, ok := ToFloat(raw)
 		if !ok {
-			return 0, fmt.Errorf("graph: edge (%q,%q) attribute %q is not numeric", k.U, k.V, attr)
+			return 0, nonNumericWeight(k, attr)
 		}
 		total += f
-		if !g.directed && k.U == id && k.V == id {
-			total += f // undirected self-loop counts twice
-		}
 	}
 	return total, nil
+}
+
+func nonNumericWeight(k EdgeKey, attr string) error {
+	return fmt.Errorf("graph: edge (%q,%q) attribute %q is not numeric", k.U, k.V, attr)
 }
 
 // MaxBy returns the node maximizing fn, breaking ties by node ID, and the

@@ -7,11 +7,15 @@
 // Internally nodes are stored under dense integer indices (position in
 // insertion order) with slice-based adjacency lists, so the traversal and
 // centrality algorithms run over int loops instead of nested string maps.
-// Attribute maps support copy-on-write sharing: Freeze marks a graph as an
-// immutable master, after which Clone is nearly allocation-free and safe to
-// call concurrently; any mutation of a clone (or of the master) first
-// copies the affected attribute map, so graphs never observe each other's
-// writes.
+// Copy-on-write works at two levels. Freeze marks a graph as an immutable
+// master; a Clone of it shares the master's containers (node index and
+// order, adjacency, node-attribute slots, edge map) in O(1) and is safe to
+// take from many goroutines at once. The first write to a graph that
+// shares containers copies only the class of container it touches: a
+// node-attribute write copies the node slot slice, an edge-attribute write
+// the edge map, and a node or edge insertion or removal all of them. Inside
+// a copied container the attribute maps stay shared until each is written,
+// so graphs never observe each other's writes.
 package graph
 
 import (
@@ -96,19 +100,95 @@ type Graph struct {
 	succ [][]int32 // out-neighbor indices (all neighbors if undirected), insertion order
 	pred [][]int32 // in-neighbor indices (mirror of succ if undirected)
 
-	// Copy-on-write bookkeeping. When nodeShared is non-nil, nodeShared[i]
-	// reports that nodeAttrs[i] is shared with another graph and must be
-	// copied before the first write; edgeShared mirrors this for edges and
-	// attrsShared for the graph-level map. Freshly constructed graphs own
-	// everything (all three fields nil/false).
+	// Copy-on-write bookkeeping for attribute maps. When nodeShared is
+	// non-nil, nodeShared[i] reports that nodeAttrs[i] is shared with
+	// another graph and must be copied before the first write; edgeShared
+	// mirrors this for edges and attrsShared for the graph-level map.
+	// Freshly constructed graphs own everything (all three fields
+	// nil/false).
 	nodeShared  []bool
 	edgeShared  map[EdgeKey]bool
 	attrsShared bool
+
+	// shared marks the container classes this graph shares with other
+	// graphs; a shared container is never written in place. Only Freeze
+	// sets bits (Clone copies them), and Freeze marks every attribute map
+	// in a shared container shared too, so a graph whose nodeSlots or
+	// edgeMap bit is set holds true in every nodeShared/edgeShared entry.
+	shared containers
 
 	// version counts structural changes (node/edge insertions and
 	// removals, not attribute writes), letting bindings cache derived
 	// node/edge listings safely.
 	version uint64
+}
+
+// containers is a bit set of the container classes copy-on-write shares.
+type containers uint8
+
+const (
+	topology  containers = 1 << iota // nodeOrder, nodeIdx, edgeOrder, succ, pred
+	nodeSlots                        // nodeAttrs, nodeShared
+	edgeMap                          // edges, edgeShared
+
+	allContainers = topology | nodeSlots | edgeMap
+)
+
+// copyContainers replaces the given container classes of g with private
+// copies. Inside a copied node-slot slice or edge map, attribute maps
+// marked shared stay shared and the ones g owns are copied one level deep;
+// a container g shares holds no owned maps, so privatizing it before a
+// write copies no attribute map.
+func (g *Graph) copyContainers(which containers) {
+	if which&topology != 0 {
+		nodeIdx := make(map[string]int, len(g.nodeIdx))
+		for id, i := range g.nodeIdx {
+			nodeIdx[id] = i
+		}
+		g.nodeIdx = nodeIdx
+		g.nodeOrder = append([]string(nil), g.nodeOrder...)
+		g.edgeOrder = append([]EdgeKey(nil), g.edgeOrder...)
+		g.succ = cloneAdjacency(g.succ)
+		g.pred = cloneAdjacency(g.pred)
+	}
+	if which&nodeSlots != 0 {
+		slots := make([]Attrs, len(g.nodeAttrs))
+		for i, a := range g.nodeAttrs {
+			if g.nodeShared == nil || !g.nodeShared[i] {
+				a = a.Clone()
+			}
+			slots[i] = a
+		}
+		g.nodeAttrs = slots
+		if g.nodeShared != nil {
+			g.nodeShared = append([]bool(nil), g.nodeShared...)
+		}
+	}
+	if which&edgeMap != 0 {
+		edges := make(map[EdgeKey]Attrs, len(g.edges))
+		for k, a := range g.edges {
+			if !g.edgeShared[k] {
+				a = a.Clone()
+			}
+			edges[k] = a
+		}
+		g.edges = edges
+		if g.edgeShared != nil {
+			edgeShared := make(map[EdgeKey]bool, len(g.edgeShared))
+			for k, s := range g.edgeShared {
+				edgeShared[k] = s
+			}
+			g.edgeShared = edgeShared
+		}
+	}
+}
+
+// own makes the given container classes exclusively owned before a write:
+// a node-attribute write owns nodeSlots, an edge-attribute write edgeMap,
+// and a node or edge insertion or removal every container.
+func (g *Graph) own(which containers) {
+	g.copyContainers(g.shared & which)
+	g.shared &^= which
 }
 
 // Version returns a counter that changes whenever the node or edge set
@@ -153,19 +233,23 @@ func (g *Graph) key(u, v string) EdgeKey {
 	return EdgeKey{U: u, V: v}
 }
 
-// Freeze marks every attribute map in the graph as shared, turning g into
-// an immutable master: subsequent Clone calls share the attribute maps
-// instead of copying them (and are safe to issue from multiple goroutines),
-// while the first write to any map — in g or in any clone — copies it
+// Freeze turns g into an immutable master: it marks every container and
+// every attribute map in the graph shared, so subsequent Clone calls share
+// them in O(1) (and are safe to issue from multiple goroutines), while the
+// first write to a container or map — in g or in any clone — copies it
 // first, so no graph ever observes another's mutations. Freeze itself must
-// not race with writes to g.
+// not race with writes to g or with Clone calls on g.
 //
 // Freeze is incremental: a master extended with further nodes or edges
 // (e.g. by applying streamed batches or Merge) can be re-frozen, which
-// marks the newly added maps shared too. Existing clones stay valid — the
-// maps they share were already marked, and re-marking an exclusively owned
-// map only re-enables sharing for future clones.
+// marks the newly added containers and maps shared too. Existing clones
+// stay valid — extending the master copied the containers they share
+// before writing, and re-marking an exclusively owned map only re-enables
+// sharing for future clones.
 func (g *Graph) Freeze() {
+	if g.shared == allContainers && g.attrsShared {
+		return // nothing was written since the graph was last frozen
+	}
 	g.nodeShared = make([]bool, len(g.nodeOrder))
 	for i := range g.nodeShared {
 		g.nodeShared[i] = true
@@ -175,16 +259,13 @@ func (g *Graph) Freeze() {
 		g.edgeShared[k] = true
 	}
 	g.attrsShared = true
-}
-
-// sharesAttrs reports whether any attribute map may be shared.
-func (g *Graph) sharesAttrs() bool {
-	return g.nodeShared != nil || g.edgeShared != nil || g.attrsShared
+	g.shared = allContainers
 }
 
 // ownNode ensures nodeAttrs[i] is exclusively owned before a write.
 func (g *Graph) ownNode(i int) {
 	if g.nodeShared != nil && g.nodeShared[i] {
+		g.own(nodeSlots)
 		g.nodeAttrs[i] = g.nodeAttrs[i].Clone()
 		g.nodeShared[i] = false
 	}
@@ -192,7 +273,8 @@ func (g *Graph) ownNode(i int) {
 
 // ownEdge ensures edges[k] is exclusively owned before a write.
 func (g *Graph) ownEdge(k EdgeKey) {
-	if g.edgeShared != nil && g.edgeShared[k] {
+	if g.edgeShared[k] {
+		g.own(edgeMap)
 		g.edges[k] = g.edges[k].Clone()
 		g.edgeShared[k] = false
 	}
@@ -202,6 +284,7 @@ func (g *Graph) ownEdge(k EdgeKey) {
 func (g *Graph) AddNode(id string, attrs Attrs) {
 	i, ok := g.nodeIdx[id]
 	if !ok {
+		g.own(allContainers)
 		g.version++
 		i = len(g.nodeOrder)
 		g.nodeIdx[id] = i
@@ -287,16 +370,19 @@ func (g *Graph) RemoveNode(id string) error {
 	if !ok {
 		return fmt.Errorf("graph: node %q does not exist", id)
 	}
-	// Collect incident edges first to avoid mutating while iterating.
-	var doomed []EdgeKey
-	for k := range g.edges {
-		if k.U == id || k.V == id {
-			doomed = append(doomed, k)
+	g.own(allContainers)
+	// One pass drops the incident edges and keeps the others in order.
+	kept := g.edgeOrder[:0]
+	for _, k := range g.edgeOrder {
+		if k.U != id && k.V != id {
+			kept = append(kept, k)
+			continue
 		}
+		g.version++
+		delete(g.edges, k)
+		delete(g.edgeShared, k)
 	}
-	for _, k := range doomed {
-		g.removeEdgeKey(k)
-	}
+	g.edgeOrder = kept
 	g.version++
 	delete(g.nodeIdx, id)
 	g.nodeOrder = append(g.nodeOrder[:i], g.nodeOrder[i+1:]...)
@@ -313,18 +399,26 @@ func (g *Graph) RemoveNode(id string) error {
 	}
 	ri := int32(i)
 	for n := range g.succ {
-		shiftIndices(g.succ[n], ri)
-		shiftIndices(g.pred[n], ri)
+		g.succ[n] = dropIndex(g.succ[n], ri)
+		g.pred[n] = dropIndex(g.pred[n], ri)
 	}
 	return nil
 }
 
-func shiftIndices(s []int32, removed int32) {
-	for j, v := range s {
-		if v > removed {
-			s[j] = v - 1
+// dropIndex removes removed from the adjacency list s in place, keeping the
+// order of the rest, and renumbers the indices above it down by one.
+func dropIndex(s []int32, removed int32) []int32 {
+	out := s[:0]
+	for _, v := range s {
+		if v == removed {
+			continue
 		}
+		if v > removed {
+			v--
+		}
+		out = append(out, v)
 	}
+	return out
 }
 
 // AddEdge inserts an edge (creating endpoints if necessary) and merges attrs.
@@ -334,6 +428,7 @@ func (g *Graph) AddEdge(u, v string, attrs Attrs) {
 	k := g.key(u, v)
 	cur, ok := g.edges[k]
 	if !ok {
+		g.own(allContainers)
 		g.version++
 		cur = Attrs{}
 		g.edges[k] = cur
@@ -389,33 +484,24 @@ func (g *Graph) RemoveEdge(u, v string) error {
 	if _, ok := g.edges[k]; !ok {
 		return fmt.Errorf("graph: edge (%q,%q) does not exist", u, v)
 	}
-	g.removeEdgeKey(k)
-	return nil
-}
-
-func (g *Graph) removeEdgeKey(k EdgeKey) {
+	g.own(allContainers)
 	g.version++
 	delete(g.edges, k)
-	if g.edgeShared != nil {
-		delete(g.edgeShared, k)
-	}
+	delete(g.edgeShared, k)
 	for i, e := range g.edgeOrder {
 		if e == k {
 			g.edgeOrder = append(g.edgeOrder[:i], g.edgeOrder[i+1:]...)
 			break
 		}
 	}
-	ui, uok := g.nodeIdx[k.U]
-	vi, vok := g.nodeIdx[k.V]
-	if !uok || !vok {
-		return
-	}
+	ui, vi := g.nodeIdx[k.U], g.nodeIdx[k.V]
 	g.succ[ui] = removeIndex(g.succ[ui], int32(vi))
 	g.pred[vi] = removeIndex(g.pred[vi], int32(ui))
 	if !g.directed && ui != vi {
 		g.succ[vi] = removeIndex(g.succ[vi], int32(ui))
 		g.pred[ui] = removeIndex(g.pred[ui], int32(vi))
 	}
+	return nil
 }
 
 func removeIndex(s []int32, x int32) []int32 {
@@ -533,66 +619,23 @@ func (g *Graph) OutDegree(id string) int {
 	return 0
 }
 
-// Clone returns a deep copy of the graph (attribute maps are copied one
-// level deep, matching Attrs.Clone). Cloning a frozen graph — or a clone of
-// one — shares attribute maps copy-on-write instead of copying them, which
-// makes cloning an immutable master nearly free and safe to do from many
-// goroutines at once.
+// Clone returns an independent copy of the graph. The containers the
+// source shares — all of them for a frozen graph or an unwritten clone of
+// one — are shared copy-on-write, which makes cloning an immutable master
+// O(1) and safe from many goroutines at once. The containers the source
+// has written are copied; inside them, attribute maps the source marks
+// shared stay shared and the ones it owns are copied one level deep
+// (matching Attrs.Clone).
 func (g *Graph) Clone() *Graph {
-	n := len(g.nodeOrder)
-	c := &Graph{
-		directed:  g.directed,
-		version:   g.version,
-		nodeOrder: append([]string(nil), g.nodeOrder...),
-		nodeIdx:   make(map[string]int, n),
-		nodeAttrs: make([]Attrs, n),
-		edgeOrder: append([]EdgeKey(nil), g.edgeOrder...),
-		edges:     make(map[EdgeKey]Attrs, len(g.edges)),
-		succ:      cloneAdjacency(g.succ),
-		pred:      cloneAdjacency(g.pred),
-	}
-	for id, i := range g.nodeIdx {
-		c.nodeIdx[id] = i
-	}
-	if g.sharesAttrs() {
-		// COW mode: share every map the source does not exclusively own.
-		c.nodeShared = make([]bool, n)
-		c.edgeShared = make(map[EdgeKey]bool, len(g.edges))
-		for i, a := range g.nodeAttrs {
-			if g.nodeShared != nil && g.nodeShared[i] {
-				c.nodeAttrs[i] = a
-				c.nodeShared[i] = true
-			} else {
-				c.nodeAttrs[i] = a.Clone()
-			}
-		}
-		for k, a := range g.edges {
-			if g.edgeShared != nil && g.edgeShared[k] {
-				c.edges[k] = a
-				c.edgeShared[k] = true
-			} else {
-				c.edges[k] = a.Clone()
-			}
-		}
-		if g.attrsShared {
-			c.attrs = g.attrs
-			c.attrsShared = true
-		} else {
-			c.attrs = g.attrs.Clone()
-		}
-	} else {
-		for i, a := range g.nodeAttrs {
-			c.nodeAttrs[i] = a.Clone()
-		}
-		for k, a := range g.edges {
-			c.edges[k] = a.Clone()
-		}
+	c := *g
+	c.copyContainers(allContainers &^ g.shared)
+	if !g.attrsShared {
 		c.attrs = g.attrs.Clone()
 	}
 	if c.attrs == nil {
 		c.attrs = Attrs{}
 	}
-	return c
+	return &c
 }
 
 // cloneAdjacency deep-copies adjacency lists into one shared backing array.
